@@ -21,11 +21,23 @@ namespace mlec {
 
 namespace {
 
-/// Journal path for one method under a shared base path (--method=all runs
-/// several campaigns; each needs its own journal identity).
-std::string method_checkpoint(const EstimateOptions& options, std::string_view method) {
-  if (options.checkpoint_path.empty()) return {};
-  return options.checkpoint_path + "." + std::string(method);
+/// Campaign knobs for one method's run. The journal goes under the shared
+/// base path with the method as suffix (--method=all runs several
+/// campaigns; each needs its own journal identity).
+CampaignOptions campaign_options(const EstimateOptions& options, std::string_view method) {
+  CampaignOptions campaign;
+  if (!options.checkpoint_path.empty())
+    campaign.checkpoint_path = options.checkpoint_path + "." + std::string(method);
+  campaign.resume = options.resume;
+  campaign.shards = options.shards;
+  campaign.checkpoint_every = options.checkpoint_every;
+  campaign.shard_timeout_s = options.shard_timeout_s;
+  campaign.target_rse = options.target_rse;
+  campaign.unit_budget = options.unit_budget;
+  campaign.stop = options.stop;
+  campaign.progress = options.progress;
+  campaign.pool_lane = options.pool_lane;
+  return campaign;
 }
 
 void require_applicable(const Estimator& estimator, const Scenario& scenario) {
@@ -108,19 +120,9 @@ class SimEstimator final : public Estimator {
     require_applicable(*this, scenario);
     MLEC_FAULT_POINT("estimator.sim.pre");
 
-    FleetCampaignOptions campaign;
-    campaign.checkpoint_path = method_checkpoint(options, name());
-    campaign.resume = options.resume;
-    campaign.shards = options.shards;
-    campaign.checkpoint_every = options.checkpoint_every;
-    campaign.shard_timeout_s = options.shard_timeout_s;
-    campaign.target_rse = options.target_rse;
-    campaign.unit_budget = options.unit_budget;
-    campaign.stop = options.stop;
-    campaign.progress = options.progress;
-    campaign.pool_lane = options.pool_lane;
-    const FleetCampaignResult run = run_fleet_campaign(scenario.fleet_config(), scenario.missions,
-                                                       scenario.seed, campaign, options.pool);
+    const FleetCampaignResult run =
+        run_fleet_campaign(scenario.fleet_config(), scenario.missions, scenario.seed,
+                           campaign_options(options, name()), options.pool);
 
     Estimate e;
     e.method = std::string(name());
@@ -175,20 +177,9 @@ class SplitEstimator final : public Estimator {
     require_applicable(*this, scenario);
     MLEC_FAULT_POINT("estimator.split.pre");
 
-    LocalPoolCampaignOptions campaign;
-    campaign.checkpoint_path = method_checkpoint(options, name());
-    campaign.resume = options.resume;
-    campaign.shards = options.shards;
-    campaign.checkpoint_every = options.checkpoint_every;
-    campaign.shard_timeout_s = options.shard_timeout_s;
-    campaign.target_rse = options.target_rse;
-    campaign.unit_budget = options.unit_budget;
-    campaign.stop = options.stop;
-    campaign.progress = options.progress;
-    campaign.pool_lane = options.pool_lane;
     const LocalPoolCampaignResult stage1_run = run_local_pool_campaign(
-        scenario.local_pool_config(), scenario.split_missions, scenario.seed, campaign,
-        options.pool);
+        scenario.local_pool_config(), scenario.split_missions, scenario.seed,
+        campaign_options(options, name()), options.pool);
 
     Estimate e;
     e.method = std::string(name());

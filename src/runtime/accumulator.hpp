@@ -23,6 +23,8 @@ class CampaignAccumulator {
  public:
   /// Slot accessors create the slot on first use; insertion order is part of
   /// the identity (merge and serialization require identical layouts).
+  /// Creating a slot may move the earlier slots of its kind, so a reference
+  /// stays valid only until the next slot creation.
   std::uint64_t& counter(std::string_view name);
   double& scalar(std::string_view name);
   RunningStats& stats(std::string_view name);

@@ -34,6 +34,16 @@ void CampaignConfig::validate() const {
   MLEC_REQUIRE(target_rse >= 0.0, "target RSE must be non-negative");
 }
 
+CampaignConfig campaign_config(const CampaignOptions& options, std::uint64_t units,
+                               std::uint64_t seed, std::string fingerprint) {
+  CampaignConfig campaign;
+  static_cast<CampaignOptions&>(campaign) = options;
+  campaign.total_units = units;
+  campaign.seed = seed;
+  campaign.fingerprint = std::move(fingerprint);
+  return campaign;
+}
+
 std::size_t CampaignReport::quarantined() const {
   return static_cast<std::size_t>(
       std::count_if(shards.begin(), shards.end(),

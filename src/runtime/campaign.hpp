@@ -53,9 +53,11 @@ struct CampaignProgress {
   double achieved_rse = 0.0;
 };
 
-struct CampaignConfig {
-  std::uint64_t total_units = 0;
-  std::uint64_t seed = 0;
+/// Caller-facing knobs of a campaign. Workload adapters (fleet missions,
+/// local-pool missions) take these as-is and add the unit count, seed and
+/// fingerprint themselves; each adapter header says which estimate
+/// `target_rse` measures.
+struct CampaignOptions {
   /// Shard count; 0 derives 2x pool workers (or 1 without a pool). The
   /// shard count is part of the campaign identity: resume requires a match.
   std::size_t shards = 0;
@@ -86,8 +88,6 @@ struct CampaignConfig {
   /// enforced at batch boundaries); 0 = unlimited. Models wall-clock limits
   /// deterministically, which is what the resume tests rely on.
   std::uint64_t unit_budget = 0;
-  /// Workload identity (config text) folded into the journal fingerprint.
-  std::string fingerprint;
   StopToken stop{};
   /// Invoked after every shard commit with a merged-progress snapshot.
   /// Called concurrently from shard threads (outside the campaign mutex):
@@ -98,9 +98,21 @@ struct CampaignConfig {
   /// kLaneNormal / kLaneBatch): the server maps client priority classes
   /// here so interactive campaigns overtake queued batch work.
   std::size_t pool_lane = kLaneNormal;
+};
+
+struct CampaignConfig : CampaignOptions {
+  std::uint64_t total_units = 0;
+  std::uint64_t seed = 0;
+  /// Workload identity (config text) folded into the journal fingerprint.
+  std::string fingerprint;
 
   void validate() const;
 };
+
+/// The runner config for `units` units of a workload identified by
+/// `fingerprint`, under the caller's options.
+CampaignConfig campaign_config(const CampaignOptions& options, std::uint64_t units,
+                               std::uint64_t seed, std::string fingerprint);
 
 /// Final status of one shard.
 struct ShardOutcome {

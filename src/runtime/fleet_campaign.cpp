@@ -78,23 +78,6 @@ FleetCampaignResult run_fleet_campaign(const FleetSimConfig& config, std::uint64
                                        const FleetCampaignOptions& options, ThreadPool* pool) {
   config.validate();
 
-  CampaignConfig campaign;
-  campaign.total_units = missions;
-  campaign.seed = seed;
-  campaign.shards = options.shards;
-  campaign.checkpoint_every = options.checkpoint_every;
-  campaign.checkpoint_path = options.checkpoint_path;
-  campaign.resume = options.resume;
-  campaign.max_attempts = options.max_attempts;
-  campaign.retry_backoff_ms = options.retry_backoff_ms;
-  campaign.shard_timeout_s = options.shard_timeout_s;
-  campaign.target_rse = options.target_rse;
-  campaign.unit_budget = options.unit_budget;
-  campaign.fingerprint = fleet_campaign_fingerprint(config);
-  campaign.stop = options.stop;
-  campaign.progress = options.progress;
-  campaign.pool_lane = options.pool_lane;
-
   // One immutable context (validated config + lookup tables) shared by every
   // shard's engine; each engine keeps only its own mutable trial state.
   auto context = make_fleet_context(config);
@@ -110,7 +93,9 @@ FleetCampaignResult run_fleet_campaign(const FleetSimConfig& config, std::uint64
     return bernoulli_rse(merged.counter(kLossMissions), merged.counter(kMissions));
   };
 
-  CampaignRunner runner(std::move(campaign), factory, pdl_rse);
+  CampaignRunner runner(
+      campaign_config(options, missions, seed, fleet_campaign_fingerprint(config)), factory,
+      pdl_rse);
   auto [merged, report] = runner.run(pool);
 
   FleetCampaignResult out;

@@ -15,30 +15,9 @@
 
 namespace mlec {
 
-struct FleetCampaignOptions {
-  /// Journal file; empty runs in-memory (no persistence).
-  std::string checkpoint_path;
-  /// Resume from checkpoint_path if it exists (see CampaignConfig::resume).
-  bool resume = false;
-  std::uint64_t checkpoint_every = 256;
-  std::size_t shards = 0;  ///< 0 = derive from the pool
-  std::size_t max_attempts = 3;
-  double retry_backoff_ms = 100.0;
-  /// Shard watchdog deadline in seconds; 0 disables (see
-  /// CampaignConfig::shard_timeout_s).
-  double shard_timeout_s = 0.0;
-  /// Stop early once the PDL estimate's relative standard error drops below
-  /// this (0 disables adaptive stopping).
-  double target_rse = 0.0;
-  /// Max missions to run this invocation (0 = unlimited); deterministic
-  /// stand-in for a wall-clock budget.
-  std::uint64_t unit_budget = 0;
-  StopToken stop{};
-  /// Per-commit progress feed (see CampaignConfig::progress).
-  std::function<void(const CampaignProgress&)> progress;
-  /// ThreadPool dispatch lane (see CampaignConfig::pool_lane).
-  std::size_t pool_lane = kLaneNormal;
-};
+/// Campaign knobs (runtime/campaign.hpp); `target_rse` stops early once the
+/// PDL estimate's relative standard error drops below it.
+using FleetCampaignOptions = CampaignOptions;
 
 struct FleetCampaignResult {
   FleetSimResult result;

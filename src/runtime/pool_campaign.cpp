@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <sstream>
 
 namespace mlec {
@@ -30,8 +31,11 @@ void accumulate_local_pool_result(const LocalPoolSimResult& result, CampaignAccu
   acc.counter(kMissions) += result.missions;
   acc.counter(kCatastrophes) += result.catastrophes;
   acc.scalar(kPoolYears) += result.pool_years;
-  auto& frac = acc.stats(kLostFraction);
+  // Create both slots before binding references: creating a slot may move
+  // the earlier ones.
+  acc.stats(kLostFraction);
   auto& unrebuilt = acc.stats(kUnrebuiltTb);
+  auto& frac = acc.stats(kLostFraction);
   for (const auto& s : result.samples) {
     frac.add(s.lost_stripe_fraction);
     unrebuilt.add(s.unrebuilt_tb);
@@ -58,28 +62,14 @@ LocalPoolCampaignResult run_local_pool_campaign(const LocalPoolSimConfig& config
                                                 std::uint64_t missions, std::uint64_t seed,
                                                 const LocalPoolCampaignOptions& options,
                                                 ThreadPool* pool) {
-  config.validate();
-
-  CampaignConfig campaign;
-  campaign.total_units = missions;
-  campaign.seed = seed;
-  campaign.shards = options.shards;
-  campaign.checkpoint_every = options.checkpoint_every;
-  campaign.checkpoint_path = options.checkpoint_path;
-  campaign.resume = options.resume;
-  campaign.max_attempts = options.max_attempts;
-  campaign.retry_backoff_ms = options.retry_backoff_ms;
-  campaign.shard_timeout_s = options.shard_timeout_s;
-  campaign.target_rse = options.target_rse;
-  campaign.unit_budget = options.unit_budget;
-  campaign.fingerprint = local_pool_campaign_fingerprint(config);
-  campaign.stop = options.stop;
-  campaign.progress = options.progress;
-  campaign.pool_lane = options.pool_lane;
-
-  auto factory = [&config](std::uint32_t, Rng& rng) -> CampaignRunner::UnitRunner {
-    return [&config, &rng](CampaignAccumulator& acc) {
-      const LocalPoolSimResult one = simulate_local_pool(config, 1, rng);
+  // Setup (validation, repair-model tables) runs once; each shard attempt
+  // copies the finished engine and owns only its mutable pool state.
+  const LocalPoolEngine prototype(config);
+  auto factory = [&prototype](std::uint32_t, Rng& rng) -> CampaignRunner::UnitRunner {
+    auto engine = std::make_shared<LocalPoolEngine>(prototype);
+    return [engine, &rng](CampaignAccumulator& acc) {
+      LocalPoolSimResult one;
+      engine->run_mission(rng, one);
       accumulate_local_pool_result(one, acc);
     };
   };
@@ -91,7 +81,9 @@ LocalPoolCampaignResult run_local_pool_campaign(const LocalPoolSimConfig& config
                    : std::numeric_limits<double>::infinity();
   };
 
-  CampaignRunner runner(std::move(campaign), factory, cat_rse);
+  CampaignRunner runner(
+      campaign_config(options, missions, seed, local_pool_campaign_fingerprint(config)),
+      factory, cat_rse);
   auto [merged, report] = runner.run(pool);
 
   LocalPoolCampaignResult out;

@@ -2,9 +2,12 @@
 // half of the splitting estimator, with checkpoint/resume, cancellation,
 // shard fault isolation, and adaptive stopping on the catastrophe count.
 //
-// One campaign unit = one pool mission. Shard s / attempt a draws from
-// Rng::for_substream(seed, s | a << 32); with the same seed, shard count,
-// and checkpoint file, a run killed mid-flight and resumed produces
+// One campaign unit = one pool mission, run by LocalPoolEngine::run_mission
+// on the shard attempt's own copy of an engine set up once per campaign
+// (validated config, finalized repair-model tables). Shard s / attempt a
+// draws from Rng::for_substream(seed, s | a << 32), so a one-shard campaign
+// reproduces simulate_local_pool on substream 0; with the same seed, shard
+// count, and checkpoint file, a run killed mid-flight and resumed produces
 // bit-identical statistics to an uninterrupted run.
 #pragma once
 
@@ -17,28 +20,10 @@
 
 namespace mlec {
 
-struct LocalPoolCampaignOptions {
-  /// Journal file; empty runs in-memory (no persistence).
-  std::string checkpoint_path;
-  bool resume = false;
-  std::uint64_t checkpoint_every = 256;
-  std::size_t shards = 0;  ///< 0 = derive from the pool
-  std::size_t max_attempts = 3;
-  double retry_backoff_ms = 100.0;
-  /// Shard watchdog deadline in seconds; 0 disables (see
-  /// CampaignConfig::shard_timeout_s).
-  double shard_timeout_s = 0.0;
-  /// Stop early once the catastrophe count's Poisson relative standard
-  /// error (1/sqrt(count)) drops below this (0 disables).
-  double target_rse = 0.0;
-  /// Max missions to run this invocation (0 = unlimited).
-  std::uint64_t unit_budget = 0;
-  StopToken stop{};
-  /// Per-commit progress feed (see CampaignConfig::progress).
-  std::function<void(const CampaignProgress&)> progress;
-  /// ThreadPool dispatch lane (see CampaignConfig::pool_lane).
-  std::size_t pool_lane = kLaneNormal;
-};
+/// Campaign knobs (runtime/campaign.hpp); `target_rse` stops early once the
+/// catastrophe count's Poisson relative standard error (1/sqrt(count))
+/// drops below it.
+using LocalPoolCampaignOptions = CampaignOptions;
 
 struct LocalPoolCampaignResult {
   std::uint64_t missions = 0;

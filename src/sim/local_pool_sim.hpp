@@ -7,6 +7,12 @@
 // unrecoverable) event together with the state needed by stage 2: how many
 // local stripes were lost, and how much data the failed disks held.
 //
+// LocalPoolEngine is the simulator: per-run setup in its constructor, one
+// mission per run_mission() call. simulate_local_pool() loops one engine;
+// the stage-1 campaign (runtime/pool_campaign.hpp) gives each shard a copy
+// and runs one mission per campaign unit, so both paths share one mission
+// loop and, on the same Rng, draw the same trajectories.
+//
 // Modeling notes (documented deviations are cross-checked against the
 // Markov closed forms in tests):
 //  * Failures arrive as a Poisson process at rate n*lambda; with <=1% AFR
@@ -52,8 +58,6 @@ struct LocalPoolSimConfig {
   bool priority_repair = true;
 
   void validate() const;
-  /// Local stripes resident in the pool at full chunk density.
-  double stripes_in_pool() const;
   /// The shared pool-state physics (sim/pool_state.hpp) for this config.
   PoolRepairModel repair_model() const;
 };
@@ -87,10 +91,38 @@ struct LocalPoolSimResult {
   double catastrophe_probability_per_year() const;
 };
 
-/// Run `missions` independent missions (sequentially; callers parallelize by
-/// splitting rngs and merging results). After each catastrophe the pool is
-/// reset (network-level repair is stage 2's concern) and the mission
-/// continues, so the estimator is a rate, not a first-passage probability.
+/// One-mission-at-a-time view of the local-pool simulator, the pool-level
+/// counterpart of FleetMissionEngine. The constructor does the per-run setup
+/// once — validates the config, finalizes the PoolRepairModel lookup tables,
+/// derives the pool failure rate and stripe count — and the engine keeps one
+/// LocalPoolState whose failure vector keeps its capacity across missions,
+/// so the mission loop allocates nothing. The caller owns the Rng, so a
+/// campaign can journal it between missions. Copying an engine copies the
+/// finished setup: campaign shards copy one prototype instead of redoing it.
+class LocalPoolEngine {
+ public:
+  explicit LocalPoolEngine(const LocalPoolSimConfig& config);
+
+  /// Simulate one mission, accumulating into `into`: bumps `missions`,
+  /// resets `pool_years` to missions * mission_hours (so `into` should hold
+  /// only this config's missions), and records catastrophes (the first
+  /// `max_samples` of them as samples), rebuild times and perf counters.
+  /// After each catastrophe the pool is reset (network-level repair is
+  /// stage 2's concern) and the mission continues, so the estimator is a
+  /// rate, not a first-passage probability.
+  void run_mission(Rng& rng, LocalPoolSimResult& into, std::size_t max_samples = 10000);
+
+ private:
+  PoolRepairModel model_;
+  double mission_hours_ = 0.0;
+  double pool_rate_ = 0.0;        ///< failures per pool-hour
+  double stripes_in_pool_ = 0.0;  ///< scales lost fractions into lost stripes
+  LocalPoolState pool_;
+};
+
+/// Run `missions` independent missions on one LocalPoolEngine
+/// (sequentially; callers parallelize by splitting rngs and merging
+/// results, or through run_local_pool_campaign).
 LocalPoolSimResult simulate_local_pool(const LocalPoolSimConfig& config, std::uint64_t missions,
                                        Rng& rng, std::size_t max_samples = 10000);
 
